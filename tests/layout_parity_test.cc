@@ -152,6 +152,46 @@ TEST(LayoutParity, EmptyRelationRejectedIdentically) {
   }
 }
 
+// Separate tables under data dividing: each device builds its own table
+// (per partition for PHJ) and the driver merges the GPU's into the CPU's
+// before the probe. The open-layout merge recomputes home buckets with the
+// engine's hash shift (0 for SHJ, the radix bits for PHJ), so every layout,
+// algorithm and backend must still return the oracle count.
+TEST(LayoutParity, SeparateTablesMergeUnderDataDivide) {
+  for (const LayoutCase& c : {kCases[0], kCases[1]}) {
+    SCOPED_TRACE(c.name);
+    const data::Workload w = MakeWorkload(c);
+    for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+      SCOPED_TRACE(AlgorithmName(algo));
+      for (HashLayout layout :
+           {HashLayout::kChained, HashLayout::kOpenAddressing}) {
+        SCOPED_TRACE(HashLayoutName(layout));
+        for (BackendKind backend :
+             {BackendKind::kSim, BackendKind::kThreadPool}) {
+          SCOPED_TRACE(exec::BackendKindName(backend));
+          simcl::SimContext ctx;
+          JoinSpec spec;
+          spec.algorithm = algo;
+          spec.scheme = Scheme::kDataDivide;
+          spec.engine.layout = layout;
+          spec.engine.shared_table = false;
+          spec.engine.backend = backend;
+          spec.engine.threads = 4;
+          auto report = ExecutePlan(&ctx, MakeSingleJoinPlan(w, spec));
+          ASSERT_TRUE(report.ok()) << report.status().ToString();
+          EXPECT_FALSE(report->overflowed);
+          EXPECT_EQ(report->matches, w.expected_matches);
+          // The GPU built part of the input, so its table had entries to
+          // merge.
+          ASSERT_FALSE(report->build_ratios.empty());
+          EXPECT_LT(report->build_ratios[0], 1.0);
+          EXPECT_GT(report->breakdown.Get(simcl::Phase::kMerge), 0.0);
+        }
+      }
+    }
+  }
+}
+
 // Engine-level rid parity: both layouts must emit the same <build rid,
 // probe rid> pair multiset, not merely the same count.
 TEST(LayoutParity, EmittedRidPairsIdentical) {
