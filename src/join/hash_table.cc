@@ -85,9 +85,23 @@ int32_t HashTable::VisitHeader(uint32_t bucket, int32_t* count) const {
   return head_[bucket].load(std::memory_order_acquire);
 }
 
-int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
-                                simcl::DeviceId dev, uint32_t workgroup,
-                                uint32_t* work) {
+template <bool kWide>
+bool HashTable::KeyMatches(int32_t node, int32_t key_lo,
+                           int32_t key_hi) const {
+  // lo first (the 64-bit-hash word for dict-strings), hi second (the
+  // dictionary code) — the hash-first/compare-second probe contract.
+  if constexpr (kWide) {
+    return pools_->key_value[node] == key_lo &&
+           pools_->key_value_hi[node] == key_hi;
+  } else {
+    return pools_->key_value[node] == key_lo;
+  }
+}
+
+template <bool kWide>
+int32_t HashTable::FindOrAddKeyT(uint32_t bucket, int32_t key_lo,
+                                 int32_t key_hi, simcl::DeviceId dev,
+                                 uint32_t workgroup, uint32_t* work) {
   Touch(&head_[bucket]);  // the list head load below
   uint32_t traversed = 1;
   while (true) {
@@ -95,7 +109,7 @@ int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
     const int32_t first = node;
     while (node != kNil) {
       Touch(&pools_->key_value[node]);
-      if (pools_->key_value[node] == key) {
+      if (KeyMatches<kWide>(node, key_lo, key_hi)) {
         *work += traversed;
         return node;
       }
@@ -108,12 +122,15 @@ int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
       *work += traversed;
       return kNil;
     }
-    pools_->key_value[ni] = key;
+    pools_->key_value[ni] = key_lo;
+    if constexpr (kWide) pools_->key_value_hi[ni] = key_hi;
+    // relaxed: these stores happen-before the publishing CAS below, whose
+    // release side makes them visible to acquire-readers of the head.
     pools_->rid_head[ni].store(kNil, std::memory_order_relaxed);
     pools_->key_next[ni].store(first, std::memory_order_relaxed);
     Touch(&pools_->key_value[ni]);
     int32_t expected = first;
-    // acq_rel: release publishes the new node's fields (key_value,
+    // acq_rel: release publishes the new node's fields (key words,
     // key_next, rid_head above) to any thread that acquire-loads the
     // head; acquire orders our re-scan when we lose the race.
     if (head_[bucket].compare_exchange_strong(expected, ni,
@@ -129,49 +146,16 @@ int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
   }
 }
 
+int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
+                                simcl::DeviceId dev, uint32_t workgroup,
+                                uint32_t* work) {
+  return FindOrAddKeyT<false>(bucket, key, 0, dev, workgroup, work);
+}
+
 int32_t HashTable::FindOrAddKeyWide(uint32_t bucket, int32_t key_lo,
                                     int32_t key_hi, simcl::DeviceId dev,
                                     uint32_t workgroup, uint32_t* work) {
-  Touch(&head_[bucket]);  // the list head load below
-  uint32_t traversed = 1;
-  while (true) {
-    int32_t node = head_[bucket].load(std::memory_order_acquire);
-    const int32_t first = node;
-    while (node != kNil) {
-      Touch(&pools_->key_value[node]);
-      // lo first (the 64-bit-hash word for dict-strings), hi second (the
-      // dictionary code) — the hash-first/compare-second probe contract.
-      if (pools_->key_value[node] == key_lo &&
-          pools_->key_value_hi[node] == key_hi) {
-        *work += traversed;
-        return node;
-      }
-      ++traversed;
-      node = pools_->key_next[node].load(std::memory_order_acquire);
-    }
-    // Not found: allocate a node and push it at the head.
-    const int32_t ni = pools_->AllocKey(dev, workgroup);
-    if (ni == kNil) {
-      *work += traversed;
-      return kNil;
-    }
-    pools_->key_value[ni] = key_lo;
-    pools_->key_value_hi[ni] = key_hi;
-    // relaxed: both stores happen-before the publishing CAS below, whose
-    // release side makes them visible to acquire-readers of the head.
-    pools_->rid_head[ni].store(kNil, std::memory_order_relaxed);
-    pools_->key_next[ni].store(first, std::memory_order_relaxed);
-    Touch(&pools_->key_value[ni]);
-    int32_t expected = first;
-    // acq_rel: same publication contract as the narrow FindOrAddKey.
-    if (head_[bucket].compare_exchange_strong(expected, ni,
-                                              std::memory_order_acq_rel)) {
-      keys_inserted_.fetch_add(1, std::memory_order_relaxed);
-      *work += traversed;
-      return ni;
-    }
-    // Lost the race: re-scan; the allocated node leaks into the arena.
-  }
+  return FindOrAddKeyT<true>(bucket, key_lo, key_hi, dev, workgroup, work);
 }
 
 bool HashTable::InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
@@ -194,8 +178,9 @@ bool HashTable::InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
   return true;
 }
 
-int32_t HashTable::FindKey(uint32_t bucket, int32_t key,
-                           uint32_t* work) const {
+template <bool kWide>
+int32_t HashTable::FindKeyT(uint32_t bucket, int32_t key_lo, int32_t key_hi,
+                            uint32_t* work) const {
   Touch(&head_[bucket]);  // the list head load below
   uint32_t traversed = 1;
   // acquire (head and next): pairs with the inserter's acq_rel CAS so
@@ -203,7 +188,7 @@ int32_t HashTable::FindKey(uint32_t bucket, int32_t key,
   int32_t node = head_[bucket].load(std::memory_order_acquire);
   while (node != kNil) {
     Touch(&pools_->key_value[node]);
-    if (pools_->key_value[node] == key) break;
+    if (KeyMatches<kWide>(node, key_lo, key_hi)) break;
     ++traversed;
     // acquire: same chain-publication pairing as the head load.
     node = pools_->key_next[node].load(std::memory_order_acquire);
@@ -212,25 +197,14 @@ int32_t HashTable::FindKey(uint32_t bucket, int32_t key,
   return node;
 }
 
+int32_t HashTable::FindKey(uint32_t bucket, int32_t key,
+                           uint32_t* work) const {
+  return FindKeyT<false>(bucket, key, 0, work);
+}
+
 int32_t HashTable::FindKeyWide(uint32_t bucket, int32_t key_lo, int32_t key_hi,
                                uint32_t* work) const {
-  Touch(&head_[bucket]);  // the list head load below
-  uint32_t traversed = 1;
-  // acquire (head and next): pairs with the inserter's acq_rel CAS so
-  // every node reached through the chain is fully initialised.
-  int32_t node = head_[bucket].load(std::memory_order_acquire);
-  while (node != kNil) {
-    Touch(&pools_->key_value[node]);
-    if (pools_->key_value[node] == key_lo &&
-        pools_->key_value_hi[node] == key_hi) {
-      break;
-    }
-    ++traversed;
-    // acquire: same chain-publication pairing as the head load.
-    node = pools_->key_next[node].load(std::memory_order_acquire);
-  }
-  *work += traversed;
-  return node;
+  return FindKeyT<true>(bucket, key_lo, key_hi, work);
 }
 
 std::pair<uint64_t, uint64_t> HashTable::MergeFrom(const HashTable& other,

@@ -172,6 +172,18 @@ class HashTable {
   uint64_t TotalCount() const;
 
  private:
+  // One body per operation for both key widths: kWide also compares (and
+  // stores) the secondary key word.
+  template <bool kWide>
+  bool KeyMatches(int32_t node, int32_t key_lo, int32_t key_hi) const;
+  template <bool kWide>
+  int32_t FindOrAddKeyT(uint32_t bucket, int32_t key_lo, int32_t key_hi,
+                        simcl::DeviceId dev, uint32_t workgroup,
+                        uint32_t* work);
+  template <bool kWide>
+  int32_t FindKeyT(uint32_t bucket, int32_t key_lo, int32_t key_hi,
+                   uint32_t* work) const;
+
   void Touch(const void* p) const {
     if (cache_ != nullptr) cache_->Access(reinterpret_cast<uint64_t>(p));
   }

@@ -68,8 +68,20 @@ uint32_t OpenHashTable::VisitHeader(uint32_t bucket, int32_t* count) const {
   return state_[bucket].load(std::memory_order_acquire) & kCountMask;
 }
 
-int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
-                                    uint32_t* work) {
+template <bool kWide>
+bool OpenHashTable::SlotMatches(size_t slot, int32_t key_lo,
+                                int32_t key_hi) const {
+  // lo compares first (the hash word), hi second (the dictionary code).
+  if constexpr (kWide) {
+    return keys_[slot] == key_lo && keys_hi_[slot] == key_hi;
+  } else {
+    return keys_[slot] == key_lo;
+  }
+}
+
+template <bool kWide>
+int32_t OpenHashTable::FindOrAddKeyT(uint32_t home_bucket, int32_t key_lo,
+                                     int32_t key_hi, uint32_t* work) {
   uint32_t probed = 0;
   uint32_t b = home_bucket;
   for (uint32_t step = 0; step < num_buckets_; ++step) {
@@ -80,7 +92,7 @@ int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
     uint32_t cnt =
         state_[b].load(std::memory_order_acquire) & kCountMask;
     for (uint32_t s = 0; s < cnt; ++s) {
-      if (keys_[base + s] == key) {
+      if (SlotMatches<kWide>(base + s, key_lo, key_hi)) {
         *work += probed;
         return static_cast<int32_t>(base + s);
       }
@@ -96,16 +108,17 @@ int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
                                                 std::memory_order_relaxed));
       const uint32_t locked_cnt = st & kCountMask;
       for (uint32_t s = cnt; s < locked_cnt; ++s) {
-        if (keys_[base + s] == key) {
+        if (SlotMatches<kWide>(base + s, key_lo, key_hi)) {
           state_[b].store(st, std::memory_order_release);  // unlock
           *work += probed;
           return static_cast<int32_t>(base + s);
         }
       }
       if (locked_cnt < kOpenSlotsPerBucket) {
-        keys_[base + locked_cnt] = key;
+        keys_[base + locked_cnt] = key_lo;
+        if constexpr (kWide) keys_hi_[base + locked_cnt] = key_hi;
         // Unlock and publish the new slot in one release store; the key
-        // write above is ordered before it.
+        // word writes above are ordered before it.
         state_[b].store(locked_cnt + 1, std::memory_order_release);
         keys_inserted_.fetch_add(1, std::memory_order_relaxed);
         *work += probed;
@@ -121,58 +134,14 @@ int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
   return kNil;  // every bucket full
 }
 
+int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
+                                    uint32_t* work) {
+  return FindOrAddKeyT<false>(home_bucket, key, 0, work);
+}
+
 int32_t OpenHashTable::FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
                                         int32_t key_hi, uint32_t* work) {
-  uint32_t probed = 0;
-  uint32_t b = home_bucket;
-  for (uint32_t step = 0; step < num_buckets_; ++step) {
-    ++probed;
-    const size_t base = size_t{b} * kOpenSlotsPerBucket;
-    Touch(&keys_[base]);
-    // Lock-free fast path: scan the published prefix. lo compares first
-    // (the hash word), hi second (the dictionary code).
-    uint32_t cnt = state_[b].load(std::memory_order_acquire) & kCountMask;
-    for (uint32_t s = 0; s < cnt; ++s) {
-      if (keys_[base + s] == key_lo && keys_hi_[base + s] == key_hi) {
-        *work += probed;
-        return static_cast<int32_t>(base + s);
-      }
-    }
-    if (cnt < kOpenSlotsPerBucket) {
-      // Free slots may exist: take the bucket lock, re-scan what was
-      // published while we waited, then claim the next slot.
-      uint32_t st = state_[b].load(std::memory_order_relaxed);
-      do {
-        st &= ~kLockBit;
-      } while (!state_[b].compare_exchange_weak(st, st | kLockBit,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed));
-      const uint32_t locked_cnt = st & kCountMask;
-      for (uint32_t s = cnt; s < locked_cnt; ++s) {
-        if (keys_[base + s] == key_lo && keys_hi_[base + s] == key_hi) {
-          state_[b].store(st, std::memory_order_release);  // unlock
-          *work += probed;
-          return static_cast<int32_t>(base + s);
-        }
-      }
-      if (locked_cnt < kOpenSlotsPerBucket) {
-        keys_[base + locked_cnt] = key_lo;
-        keys_hi_[base + locked_cnt] = key_hi;
-        // Unlock and publish the new slot in one release store; both key
-        // word writes above are ordered before it.
-        state_[b].store(locked_cnt + 1, std::memory_order_release);
-        keys_inserted_.fetch_add(1, std::memory_order_relaxed);
-        *work += probed;
-        return static_cast<int32_t>(base + locked_cnt);
-      }
-      // Filled up while we raced for the lock; release and displace.
-      state_[b].store(st, std::memory_order_release);
-      cnt = locked_cnt;
-    }
-    b = (b + 1) & (num_buckets_ - 1);
-  }
-  *work += probed;
-  return kNil;  // every bucket full
+  return FindOrAddKeyT<true>(home_bucket, key_lo, key_hi, work);
 }
 
 bool OpenHashTable::InsertRid(int32_t slot, int32_t rid, simcl::DeviceId dev,
@@ -195,8 +164,9 @@ bool OpenHashTable::InsertRid(int32_t slot, int32_t rid, simcl::DeviceId dev,
   return true;
 }
 
-int32_t OpenHashTable::FindKeyScalar(uint32_t home_bucket, int32_t key,
-                                     uint32_t* work) const {
+template <bool kWide>
+int32_t OpenHashTable::FindKeyScalarT(uint32_t home_bucket, int32_t key_lo,
+                                      int32_t key_hi, uint32_t* work) const {
   uint32_t probed = 0;
   uint32_t b = home_bucket;
   for (uint32_t step = 0; step < num_buckets_; ++step) {
@@ -204,11 +174,11 @@ int32_t OpenHashTable::FindKeyScalar(uint32_t home_bucket, int32_t key,
     const size_t base = size_t{b} * kOpenSlotsPerBucket;
     Touch(&keys_[base]);
     // acquire: pairs with the inserter's release-store of the count so
-    // the first `cnt` key slots are visible before we read them.
+    // the first `cnt` slots of the key-word arrays are visible.
     const uint32_t cnt =
         state_[b].load(std::memory_order_acquire) & kCountMask;
     for (uint32_t s = 0; s < cnt; ++s) {
-      if (keys_[base + s] == key) {
+      if (SlotMatches<kWide>(base + s, key_lo, key_hi)) {
         *work += probed;
         return static_cast<int32_t>(base + s);
       }
@@ -222,26 +192,7 @@ int32_t OpenHashTable::FindKeyScalar(uint32_t home_bucket, int32_t key,
 
 int32_t OpenHashTable::FindKeyWide(uint32_t home_bucket, int32_t key_lo,
                                    int32_t key_hi, uint32_t* work) const {
-  uint32_t probed = 0;
-  uint32_t b = home_bucket;
-  for (uint32_t step = 0; step < num_buckets_; ++step) {
-    ++probed;
-    const size_t base = size_t{b} * kOpenSlotsPerBucket;
-    Touch(&keys_[base]);
-    // acquire: pairs with the inserter's release-store of the count so
-    // the first `cnt` slots of both key-word arrays are visible.
-    const uint32_t cnt = state_[b].load(std::memory_order_acquire) & kCountMask;
-    for (uint32_t s = 0; s < cnt; ++s) {
-      if (keys_[base + s] == key_lo && keys_hi_[base + s] == key_hi) {
-        *work += probed;
-        return static_cast<int32_t>(base + s);
-      }
-    }
-    if (cnt < kOpenSlotsPerBucket) break;  // key would have landed here
-    b = (b + 1) & (num_buckets_ - 1);
-  }
-  *work += probed;
-  return kNil;
+  return FindKeyScalarT<true>(home_bucket, key_lo, key_hi, work);
 }
 
 #if APUJOIN_HAVE_AVX2
@@ -280,7 +231,7 @@ __attribute__((target("avx2"))) int32_t OpenHashTable::FindKeyAvx2(
 #else
 int32_t OpenHashTable::FindKeyAvx2(uint32_t home_bucket, int32_t key,
                                    uint32_t* work) const {
-  return FindKeyScalar(home_bucket, key, work);
+  return FindKeyScalarT<false>(home_bucket, key, 0, work);
 }
 #endif
 
@@ -291,7 +242,7 @@ int32_t OpenHashTable::FindKey(uint32_t home_bucket, int32_t key,
 #else
   (void)use_avx2;
 #endif
-  return FindKeyScalar(home_bucket, key, work);
+  return FindKeyScalarT<false>(home_bucket, key, 0, work);
 }
 
 std::pair<uint64_t, uint64_t> OpenHashTable::MergeFrom(

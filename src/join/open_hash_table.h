@@ -158,8 +158,16 @@ class OpenHashTable {
   uint64_t TotalCount() const;
 
  private:
-  int32_t FindKeyScalar(uint32_t home_bucket, int32_t key,
-                        uint32_t* work) const;
+  // One body per operation for both key widths: kWide also compares (and
+  // stores) the secondary key word.
+  template <bool kWide>
+  bool SlotMatches(size_t slot, int32_t key_lo, int32_t key_hi) const;
+  template <bool kWide>
+  int32_t FindOrAddKeyT(uint32_t home_bucket, int32_t key_lo, int32_t key_hi,
+                        uint32_t* work);
+  template <bool kWide>
+  int32_t FindKeyScalarT(uint32_t home_bucket, int32_t key_lo,
+                         int32_t key_hi, uint32_t* work) const;
   // Compiled with the per-function AVX2 target attribute when available;
   // otherwise an alias for the scalar path.
   int32_t FindKeyAvx2(uint32_t home_bucket, int32_t key, uint32_t* work) const;

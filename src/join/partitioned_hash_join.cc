@@ -1,157 +1,29 @@
 #include "join/partitioned_hash_join.h"
 
 #include <algorithm>
-#include <numeric>
-#include <unordered_map>
-
-#include "join/groupby_engine.h"
-#include "util/cpu_features.h"
-#include "util/murmur_hash.h"
 
 namespace apujoin::join {
 
-using simcl::DeviceId;
-using simcl::Phase;
-
-PhjEngine::PhjEngine(simcl::SimContext* ctx, const data::Relation* build,
-                     const data::Relation* probe, EngineOptions opts)
-    : ctx_(ctx), build_(build), probe_(probe), opts_(opts) {}
-
-apujoin::Status PhjEngine::ResolveKeyViews() {
-  const data::KeySchema schema = build_->key_schema;
-  if (probe_->key_schema != schema) {
-    return apujoin::Status::InvalidArgument(
-        "build and probe key schemas differ");
-  }
-  wide_ = data::KeyIsWide(schema);
-  part_in_r_ = build_;
-  part_in_s_ = probe_;
-  if (!wide_) return apujoin::Status::OK();
-  if (!opts_.shared_table) {
-    return apujoin::Status::InvalidArgument(
-        "wide key schemas require shared_table (the separate-table merge "
-        "path is U32-only)");
-  }
-
-  if (schema == data::KeySchema::kU64 ||
-      schema == data::KeySchema::kComposite) {
-    if (build_->key_hi.size() != build_->size() ||
-        probe_->key_hi.size() != probe_->size()) {
-      return apujoin::Status::InvalidArgument(
-          "wide key schema requires a key_hi column of matching length");
-    }
-    return apujoin::Status::OK();
-  }
-
-  // DictString: canonicalize both relations into engine-owned copies with
-  // lo = low32(Murmur64(string)) and hi = build-side dictionary code (probe
-  // codes translated once per dictionary entry — hash-first lookup, exact
-  // string compare second). The partitioners and the join-phase kernels
-  // then see plain two-word keys and never touch strings.
-  const data::StringDict& bd = build_->dict;
-  const data::StringDict& pd = probe_->dict;
-  if (bd.strings.size() != bd.hashes.size() ||
-      pd.strings.size() != pd.hashes.size()) {
-    return apujoin::Status::InvalidArgument(
-        "dict-string relation with out-of-sync dictionary hashes");
-  }
-  std::unordered_multimap<uint64_t, int32_t> by_hash;
-  by_hash.reserve(bd.strings.size());
-  for (size_t c = 0; c < bd.strings.size(); ++c) {
-    by_hash.emplace(bd.hashes[c], static_cast<int32_t>(c));
-  }
-  std::vector<int32_t> xlat(pd.strings.size(), kNil);
-  for (size_t c = 0; c < pd.strings.size(); ++c) {
-    const auto range = by_hash.equal_range(pd.hashes[c]);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (bd.strings[static_cast<size_t>(it->second)] == pd.strings[c]) {
-        xlat[c] = it->second;
-        break;
-      }
-    }
-  }
-  const uint64_t nb = build_->size();
-  const uint64_t np = probe_->size();
-  r_canon_.key_schema = schema;
-  r_canon_.keys.resize(nb);
-  r_canon_.key_hi.resize(nb);
-  r_canon_.rids = build_->rids;
-  for (uint64_t i = 0; i < nb; ++i) {
-    const int32_t code = build_->keys[i];
-    if (code < 0 || static_cast<size_t>(code) >= bd.strings.size()) {
-      return apujoin::Status::InvalidArgument(
-          "dict-string build code out of dictionary range");
-    }
-    r_canon_.keys[i] = static_cast<int32_t>(
-        static_cast<uint32_t>(bd.hashes[static_cast<size_t>(code)]));
-    r_canon_.key_hi[i] = code;
-  }
-  s_canon_.key_schema = schema;
-  s_canon_.keys.resize(np);
-  s_canon_.key_hi.resize(np);
-  s_canon_.rids = probe_->rids;
-  for (uint64_t i = 0; i < np; ++i) {
-    const int32_t code = probe_->keys[i];
-    if (code < 0 || static_cast<size_t>(code) >= pd.strings.size()) {
-      return apujoin::Status::InvalidArgument(
-          "dict-string probe code out of dictionary range");
-    }
-    s_canon_.keys[i] = static_cast<int32_t>(
-        static_cast<uint32_t>(pd.hashes[static_cast<size_t>(code)]));
-    // Untranslatable probe strings keep hi = kNil (-1), which never equals
-    // a build code (>= 0): the probe cannot produce a false match.
-    s_canon_.key_hi[i] = xlat[static_cast<size_t>(code)];
-  }
-  part_in_r_ = &r_canon_;
-  part_in_s_ = &s_canon_;
-  return apujoin::Status::OK();
-}
-
 apujoin::Status PhjEngine::Prepare() {
-  if (build_->empty() || probe_->empty()) {
-    return apujoin::Status::InvalidArgument("empty relation");
+  APU_RETURN_IF_ERROR(PrepareKeys());
+  if (build_->key_schema == data::KeySchema::kDictString) {
+    // The partitioners scatter whole tuples of the canonical copies.
+    r_canon_.rids = build_->rids;
+    s_canon_.rids = probe_->rids;
   }
-  APU_RETURN_IF_ERROR(ResolveKeyViews());
-  const uint64_t nb = build_->size();
-  const uint64_t np = probe_->size();
   // A fused-select filter compacts pass 0 down to its survivors: plan the
   // radix layout (passes, partition count) and size the node pools from
   // that count, exactly as an unfused plan would after materializing the
   // filtered relation.
-  const uint64_t nb_live = build_card_ != 0 ? std::min(build_card_, nb) : nb;
-  plan_ = RadixPlan::Make(nb_live, np, ctx_->memory().spec().l2_bytes,
-                          opts_);
-  part_r_ =
-      std::make_unique<RadixPartitioner>(ctx_, part_in_r_, plan_, opts_);
-  part_s_ =
-      std::make_unique<RadixPartitioner>(ctx_, part_in_s_, plan_, opts_);
+  plan_ = RadixPlan::Make(live_build_rows(), probe_->size(),
+                          ctx_->memory().spec().l2_bytes, opts_);
+  part_r_ = std::make_unique<RadixPartitioner>(ctx_, &canonical_build(),
+                                               plan_, opts_);
+  part_s_ = std::make_unique<RadixPartitioner>(ctx_, &canonical_probe(),
+                                               plan_, opts_);
   APU_RETURN_IF_ERROR(part_r_->Prepare());
   APU_RETURN_IF_ERROR(part_s_->Prepare());
-
-  const bool open = opts_.layout == exec::HashLayout::kOpenAddressing;
-  use_avx2_ =
-      opts_.simd != SimdPolicy::kScalar && CpuSupportsAvx2() && !wide_;
-  // Separate tables re-allocate every merged node (see ShjEngine::Prepare).
-  // The open layout keeps keys inline in its bucket arrays; only the rid
-  // arena carries data.
-  const uint64_t merge_headroom = opts_.shared_table ? 0 : nb_live;
-  const uint64_t key_cap =
-      open ? 64
-           : nb_live + nb_live / 8 + merge_headroom +
-                 PoolSlack(nb_live, opts_.block_bytes, wide_ ? 16 : 12);
-  const uint64_t rid_cap =
-      nb_live + merge_headroom + PoolSlack(nb_live, opts_.block_bytes, 8);
-  pools_ = std::make_unique<NodePools>(key_cap, rid_cap, opts_.allocator,
-                                       opts_.block_bytes, wide_);
-
-  r_hash_.resize(nb);
-  r_bucket_.resize(nb);
-  r_keynode_.resize(nb);
-  s_hash_.resize(np);
-  s_bucket_.resize(np);
-  s_keynode_.resize(np);
-  s_count_.resize(np);
-  perm_.clear();
+  PrepareState();
   return apujoin::Status::OK();
 }
 
@@ -162,59 +34,22 @@ apujoin::Status PhjEngine::PrepareJoinPhase() {
     return apujoin::Status::FailedPrecondition(
         "partitioning must complete before the join phase");
   }
-  const uint32_t p = plan_.total_partitions;
   const bool open = opts_.layout == exec::HashLayout::kOpenAddressing;
-  tables_.clear();
-  tables_gpu_.clear();
-  open_tables_.clear();
-  open_tables_gpu_.clear();
-  tables_.reserve(open ? 0 : p);
-  open_tables_.reserve(open ? p : 0);
-  for (uint32_t i = 0; i < p; ++i) {
+  std::vector<uint32_t> buckets(plan_.total_partitions);
+  for (uint32_t i = 0; i < plan_.total_partitions; ++i) {
     const uint32_t count = off_r[i + 1] - off_r[i];
-    if (open) {
-      const uint32_t buckets = OpenBucketsFor(std::max<uint32_t>(count, 1));
-      open_tables_.push_back(
-          std::make_unique<OpenHashTable>(buckets, pools_.get(), wide_));
-      if (ctx_->cache() != nullptr) {
-        open_tables_.back()->set_cache(ctx_->cache());
-      }
-      if (!opts_.shared_table) {
-        open_tables_gpu_.push_back(
-            std::make_unique<OpenHashTable>(buckets, pools_.get(), wide_));
-        if (ctx_->cache() != nullptr) {
-          open_tables_gpu_.back()->set_cache(ctx_->cache());
-        }
-      }
-      continue;
-    }
-    const uint32_t buckets = NextPow2(std::max<uint32_t>(count, 8));
-    tables_.push_back(std::make_unique<HashTable>(buckets, pools_.get()));
-    if (ctx_->cache() != nullptr) tables_.back()->set_cache(ctx_->cache());
-    if (!opts_.shared_table) {
-      tables_gpu_.push_back(
-          std::make_unique<HashTable>(buckets, pools_.get()));
-      if (ctx_->cache() != nullptr) {
-        tables_gpu_.back()->set_cache(ctx_->cache());
-      }
-    }
+    buckets[i] = open ? OpenBucketsFor(std::max<uint32_t>(count, 1))
+                      : NextPow2(std::max<uint32_t>(count, 8));
   }
-  // Tuple -> partition maps (tuples are contiguous per partition).
-  part_of_r_.resize(build_->size());
-  for (uint32_t i = 0; i < p; ++i) {
-    for (uint32_t j = off_r[i]; j < off_r[i + 1]; ++j) part_of_r_[j] = i;
-  }
-  part_of_s_.resize(probe_->size());
-  for (uint32_t i = 0; i < p; ++i) {
-    for (uint32_t j = off_s[i]; j < off_s[i + 1]; ++j) part_of_s_[j] = i;
-  }
+  // Partition buckets are addressed by the hash shifted past the radix
+  // bits, so the radix partitioning does not degenerate them.
+  CreateTables(buckets, plan_.partition_bits);
+  MapPartitions(off_r, off_s);
   return apujoin::Status::OK();
 }
 
 double PhjEngine::PartitionWorkingSetBytes() const {
-  const double nb = static_cast<double>(
-      build_card_ != 0 ? std::min<uint64_t>(build_card_, build_->size())
-                       : build_->size());
+  const double nb = static_cast<double>(live_build_rows());
   if (opts_.layout == exec::HashLayout::kOpenAddressing) {
     // Bucket arrays (72 B/bucket narrow, 104 B with the wide-key lane;
     // ~1 bucket per 4 build keys) + rid nodes.
@@ -233,640 +68,23 @@ double PhjEngine::PartitionWorkingSetBytes() const {
 
 uint64_t PhjEngine::CostModelBuckets() const {
   const uint32_t parts = std::max<uint32_t>(plan_.total_partitions, 1);
-  const uint64_t nb_live =
-      build_card_ != 0 ? std::min<uint64_t>(build_card_, build_->size())
-                       : build_->size();
   const uint32_t per_part =
-      static_cast<uint32_t>(std::max<uint64_t>(nb_live / parts, 1));
+      static_cast<uint32_t>(std::max<uint64_t>(live_build_rows() / parts, 1));
   if (opts_.layout == exec::HashLayout::kOpenAddressing) {
     return uint64_t{OpenBucketsFor(per_part)} * kOpenSlotsPerBucket;
   }
   return NextPow2(std::max<uint32_t>(per_part, 8));
 }
 
-HashTable* PhjEngine::TableFor(uint64_t item, simcl::DeviceId dev) const {
-  const uint32_t part = part_of_r_[item];
-  if (!opts_.shared_table && dev == simcl::DeviceId::kGpu) {
-    return tables_gpu_[part].get();
-  }
-  return tables_[part].get();
+JoinSide PhjEngine::SideOf(const RadixPartitioner& part) {
+  const data::Relation& out = part.output();
+  return JoinSide{part.offsets().back(), KeyViewOf(out), out.rids.data(),
+                  /*filter=*/nullptr};
 }
 
-OpenHashTable* PhjEngine::OpenTableFor(uint64_t item,
-                                       simcl::DeviceId dev) const {
-  const uint32_t part = part_of_r_[item];
-  if (!opts_.shared_table && dev == simcl::DeviceId::kGpu) {
-    return open_tables_gpu_[part].get();
-  }
-  return open_tables_[part].get();
-}
-
-std::vector<StepDef> PhjEngine::BuildSteps() {
-  if (opts_.layout == exec::HashLayout::kOpenAddressing) {
-    return wide_ ? BuildStepsOpenT<true>() : BuildStepsOpenT<false>();
-  }
-  return wide_ ? BuildStepsT<true>() : BuildStepsT<false>();
-}
-
-template <bool kWide>
-std::vector<StepDef> PhjEngine::BuildStepsT() {
-  // The join phase runs over the partitioned survivors (= every build tuple
-  // unless a fused-select filter shrank pass 0).
-  const uint64_t n = part_r_->offsets().back();
-  const data::Relation& rp = part_r_->output();
+JoinCosts PhjEngine::Costs() const {
   const double ws = PartitionWorkingSetBytes();
-  const uint32_t shift = plan_.partition_bits;
-  std::vector<StepDef> steps;
-
-  // Column views over the partitioned build side, captured once per step
-  // (the partitioner's output buffer is stable once partitioning is done).
-  KeyView rk;
-  rk.schema = rp.key_schema;
-  rk.lo = rp.keys.data();
-  rk.hi = rp.key_hi.data();
-  const int32_t* r_rids = rp.rids.data();
-  uint32_t* r_hash = r_hash_.data();
-  uint32_t* r_bucket = r_bucket_.data();
-  int32_t* r_keynode = r_keynode_.data();
-
-  StepDef b1;
-  b1.name = "b1";
-  b1.profile = HashStepProfile(data::KeyBytes(rk.schema));
-  b1.items = n;
-  b1.run = [rk, r_hash](const Morsel& m, DeviceId,
-                        uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if constexpr (kWide) {
-        r_hash[i] = MurmurHash2x8(data::PackKeyPair(rk.lo[i], rk.hi[i]));
-      } else {
-        r_hash[i] = MurmurHash2x4(static_cast<uint32_t>(rk.lo[i]));
-      }
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b1));
-
-  StepDef b2;
-  b2.name = "b2";
-  b2.profile = HeaderVisitProfile(ws);
-  b2.items = n;
-  b2.run = [this, shift, r_hash, r_bucket](const Morsel& m, DeviceId dev,
-                                           uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      HashTable* t = TableFor(i, dev);
-      r_bucket[i] = t->BucketOf(r_hash[i] >> shift);
-      t->VisitHeader(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b2));
-
-  StepDef b3;
-  b3.name = "b3";
-  b3.profile = KeyInsertProfile(ws, opts_.locality_boost);
-  b3.items = n;
-  b3.run = [this, rk, r_bucket, r_keynode](const Morsel& m, DeviceId dev,
-                                           uint32_t* lw) -> uint64_t {
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      HashTable* t = TableFor(i, dev);
-      uint32_t work = 0;
-      if constexpr (kWide) {
-        r_keynode[i] = t->FindOrAddKeyWide(r_bucket[i], rk.lo[i], rk.hi[i],
-                                           dev, WorkgroupOf(i), &work);
-      } else {
-        r_keynode[i] = t->FindOrAddKey(r_bucket[i], rk.lo[i], dev,
-                                       WorkgroupOf(i), &work);
-      }
-      if (r_keynode[i] == kNil) overflowed_ = true;
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  steps.push_back(std::move(b3));
-
-  StepDef b4;
-  b4.name = "b4";
-  b4.profile = RidInsertProfile(ws);
-  b4.items = n;
-  b4.run = [this, r_rids, r_bucket, r_keynode](const Morsel& m, DeviceId dev,
-                                               uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (r_keynode[i] == kNil) continue;
-      HashTable* t = TableFor(i, dev);
-      if (!t->InsertRid(r_keynode[i], r_rids[i], dev, WorkgroupOf(i))) {
-        overflowed_ = true;
-        continue;
-      }
-      t->BumpCount(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b4));
-  return steps;
-}
-
-std::vector<StepDef> PhjEngine::ProbeSteps(ResultWriter* out) {
-  const bool open = opts_.layout == exec::HashLayout::kOpenAddressing;
-  std::vector<StepDef> steps = open ? ProbeStepsCommonOpen()
-                                    : ProbeStepsCommon();
-  steps.push_back(open ? MakeEmitStepOpen(out) : MakeEmitStep(out));
-  return steps;
-}
-
-std::vector<StepDef> PhjEngine::ProbeStepsFused(GroupByEngine* agg) {
-  const bool open = opts_.layout == exec::HashLayout::kOpenAddressing;
-  std::vector<StepDef> steps = open ? ProbeStepsCommonOpen()
-                                    : ProbeStepsCommon();
-  steps.push_back(open ? MakeFusedAggStepOpen(agg) : MakeFusedAggStep(agg));
-  return steps;
-}
-
-std::vector<StepDef> PhjEngine::ProbeStepsCommon() {
-  return wide_ ? ProbeStepsCommonT<true>() : ProbeStepsCommonT<false>();
-}
-
-template <bool kWide>
-std::vector<StepDef> PhjEngine::ProbeStepsCommonT() {
-  // Partitioned survivors (= every probe tuple unless a fused-select filter
-  // shrank pass 0).
-  const uint64_t n = part_s_->offsets().back();
-  const data::Relation& sp = part_s_->output();
-  const double ws = PartitionWorkingSetBytes();
-  const uint32_t shift = plan_.partition_bits;
-  std::vector<StepDef> steps;
-
-  KeyView sk;
-  sk.schema = sp.key_schema;
-  sk.lo = sp.keys.data();
-  sk.hi = sp.key_hi.data();
-  uint32_t* s_hash = s_hash_.data();
-  uint32_t* s_bucket = s_bucket_.data();
-  int32_t* s_keynode = s_keynode_.data();
-  int32_t* s_count = s_count_.data();
-  const uint32_t* part_of_s = part_of_s_.data();
-
-  StepDef p1;
-  p1.name = "p1";
-  p1.profile = HashStepProfile(data::KeyBytes(sk.schema));
-  p1.items = n;
-  p1.run = [sk, s_hash](const Morsel& m, DeviceId,
-                        uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if constexpr (kWide) {
-        s_hash[i] = MurmurHash2x8(data::PackKeyPair(sk.lo[i], sk.hi[i]));
-      } else {
-        s_hash[i] = MurmurHash2x4(static_cast<uint32_t>(sk.lo[i]));
-      }
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(p1));
-
-  StepDef p2;
-  p2.name = "p2";
-  p2.profile = HeaderVisitProfile(ws);
-  p2.items = n;
-  p2.run = [this, shift, s_hash, s_bucket, s_count,
-            part_of_s](const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      HashTable* t = tables_[part_of_s[i]].get();
-      s_bucket[i] = t->BucketOf(s_hash[i] >> shift);
-      int32_t count = 0;
-      t->VisitHeader(s_bucket[i], &count);
-      s_count[i] = count;
-    }
-    return ConstantWork(lw, m);
-  };
-  p2.after = [this](uint64_t begin, uint64_t end) {
-    if (opts_.grouping) BuildProbePermutation(begin, end);
-  };
-  steps.push_back(std::move(p2));
-
-  StepDef p3;
-  p3.name = "p3";
-  p3.profile = KeySearchProfile(ws, opts_.locality_boost);
-  p3.items = n;
-  p3.run = [this, sk, s_bucket, s_keynode,
-            part_of_s](const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    // Resolved per morsel: p2's after-hook builds the permutation after
-    // this StepDef was created.
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 0;
-      if constexpr (kWide) {
-        s_keynode[j] = tables_[part_of_s[j]]->FindKeyWide(
-            s_bucket[j], sk.lo[j], sk.hi[j], &work);
-      } else {
-        s_keynode[j] =
-            tables_[part_of_s[j]]->FindKey(s_bucket[j], sk.lo[j], &work);
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  steps.push_back(std::move(p3));
-  return steps;
-}
-
-StepDef PhjEngine::MakeEmitStep(ResultWriter* out) {
-  const uint64_t n = part_s_->offsets().back();
-  const double ws = PartitionWorkingSetBytes();
-  const data::Relation& sp = part_s_->output();
-  const int32_t* s_keys = sp.keys.data();
-  const int32_t* s_rids = sp.rids.data();
-  const int32_t* s_keynode = s_keynode_.data();
-  const uint32_t* part_of_s = part_of_s_.data();
-
-  StepDef p4;
-  p4.name = "p4";
-  p4.profile = EmitProfile(ws, opts_.locality_boost);
-  p4.items = n;
-  p4.run = [this, out, s_rids, s_keys, s_keynode,
-            part_of_s](const Morsel& m, DeviceId dev,
-                       uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    const bool keyed = out->captures_keys();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 1;
-      if (s_keynode[j] != kNil) {
-        const int32_t srid = s_rids[j];
-        const uint32_t wg = WorkgroupOf(i);
-        const int32_t skey = s_keys[j];
-        work += tables_[part_of_s[j]]->ForEachRid(
-            s_keynode[j],
-            [this, out, keyed, skey, srid, dev, wg](int32_t brid) {
-              const bool ok = keyed ? out->Emit(skey, brid, srid, dev, wg)
-                                    : out->Emit(brid, srid, dev, wg);
-              if (!ok) overflowed_ = true;
-            });
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  return p4;
-}
-
-StepDef PhjEngine::MakeFusedAggStep(GroupByEngine* agg) {
-  const uint64_t n = part_s_->offsets().back();
-  const double ws = PartitionWorkingSetBytes();
-  const data::Relation& sp = part_s_->output();
-  const int32_t* s_keys = sp.keys.data();
-  const int32_t* s_rids = sp.rids.data();
-  const int32_t* s_keynode = s_keynode_.data();
-  const uint32_t* part_of_s = part_of_s_.data();
-
-  StepDef p4g;
-  p4g.name = "p4g";
-  p4g.profile = FusedEmitAggProfile(ws, agg->TableWorkingSetBytes(),
-                                    opts_.locality_boost);
-  p4g.items = n;
-  p4g.run = [this, agg, s_rids, s_keys, s_keynode,
-             part_of_s](const Morsel& m, DeviceId,
-                        uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 1;
-      if (s_keynode[j] != kNil) {
-        const int32_t srid = s_rids[j];
-        const int32_t skey = s_keys[j];
-        work += tables_[part_of_s[j]]->ForEachRid(
-            s_keynode[j], [agg, skey, srid](int32_t) {
-              // The match streams into the aggregate table; the <build rid,
-              // probe rid> pair is never materialized.
-              agg->Accumulate(skey, static_cast<int64_t>(srid));
-            });
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  return p4g;
-}
-
-void PhjEngine::BuildProbePermutation(uint64_t begin, uint64_t end) {
-  // Permutation over the partitioned survivors the probe series runs on.
-  const uint64_t n = part_s_->offsets().back();
-  if (perm_.size() != n) {
-    perm_.resize(n);
-    std::iota(perm_.begin(), perm_.end(), 0u);
-  }
-  end = std::min(end, n);
-  if (begin >= end) return;
-  std::stable_sort(perm_.begin() + static_cast<int64_t>(begin),
-                   perm_.begin() + static_cast<int64_t>(end),
-                   [this](uint32_t a, uint32_t b) {
-                     return s_count_[a] < s_count_[b];
-                   });
-  const double bytes = static_cast<double>(end - begin) * 8.0 * 2.0;
-  ctx_->log().Add(Phase::kGrouping,
-                  ctx_->memory().SequentialNs(
-                      ctx_->device(DeviceId::kGpu), bytes));
-}
-
-template <bool kWide>
-std::vector<StepDef> PhjEngine::BuildStepsOpenT() {
-  // Partitioned survivors, as in the chained BuildStepsT.
-  const uint64_t n = part_r_->offsets().back();
-  const data::Relation& rp = part_r_->output();
-  const double ws = PartitionWorkingSetBytes();
-  const uint32_t shift = plan_.partition_bits;
-  const uint32_t dist = opts_.prefetch_dist;
-  std::vector<StepDef> steps;
-
-  KeyView rk;
-  rk.schema = rp.key_schema;
-  rk.lo = rp.keys.data();
-  rk.hi = rp.key_hi.data();
-  const int32_t* r_rids = rp.rids.data();
-  uint32_t* r_hash = r_hash_.data();
-  uint32_t* r_bucket = r_bucket_.data();
-  int32_t* r_keynode = r_keynode_.data();  // holds global slot ids here
-
-  StepDef b1;
-  b1.name = "b1";
-  b1.profile = HashStepProfile(data::KeyBytes(rk.schema));
-  b1.items = n;
-  b1.run = [rk, r_hash](const Morsel& m, DeviceId,
-                        uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if constexpr (kWide) {
-        r_hash[i] = MurmurHash2x8(data::PackKeyPair(rk.lo[i], rk.hi[i]));
-      } else {
-        r_hash[i] = MurmurHash2x4(static_cast<uint32_t>(rk.lo[i]));
-      }
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b1));
-
-  StepDef b2;
-  b2.name = "b2";
-  b2.profile = HeaderVisitProfile(ws);
-  b2.items = n;
-  b2.run = [this, shift, r_hash, r_bucket](const Morsel& m, DeviceId dev,
-                                           uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      OpenHashTable* t = OpenTableFor(i, dev);
-      r_bucket[i] = t->BucketOf(r_hash[i] >> shift);
-      t->VisitHeader(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b2));
-
-  StepDef b3;
-  b3.name = "b3";
-  b3.profile = OpenKeyInsertProfile(ws, opts_.locality_boost);
-  b3.items = n;
-  b3.run = [this, dist, rk, r_bucket, r_keynode](
-               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      OpenHashTable* t = OpenTableFor(i, dev);
-      if (dist != 0 && i + dist < m.end) {
-        OpenTableFor(i + dist, dev)->PrefetchBucket(r_bucket[i + dist]);
-      }
-      uint32_t work = 0;
-      if constexpr (kWide) {
-        r_keynode[i] =
-            t->FindOrAddKeyWide(r_bucket[i], rk.lo[i], rk.hi[i], &work);
-      } else {
-        r_keynode[i] = t->FindOrAddKey(r_bucket[i], rk.lo[i], &work);
-      }
-      if (r_keynode[i] == kNil) overflowed_ = true;
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  steps.push_back(std::move(b3));
-
-  StepDef b4;
-  b4.name = "b4";
-  b4.profile = RidInsertProfile(ws);
-  b4.items = n;
-  b4.run = [this, r_rids, r_bucket, r_keynode](const Morsel& m, DeviceId dev,
-                                               uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (r_keynode[i] == kNil) continue;
-      OpenHashTable* t = OpenTableFor(i, dev);
-      if (!t->InsertRid(r_keynode[i], r_rids[i], dev, WorkgroupOf(i))) {
-        overflowed_ = true;
-        continue;
-      }
-      t->BumpCount(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b4));
-  return steps;
-}
-
-std::vector<StepDef> PhjEngine::ProbeStepsCommonOpen() {
-  return wide_ ? ProbeStepsCommonOpenT<true>()
-               : ProbeStepsCommonOpenT<false>();
-}
-
-template <bool kWide>
-std::vector<StepDef> PhjEngine::ProbeStepsCommonOpenT() {
-  // Partitioned survivors, as in the chained ProbeStepsCommonT.
-  const uint64_t n = part_s_->offsets().back();
-  const data::Relation& sp = part_s_->output();
-  const double ws = PartitionWorkingSetBytes();
-  const uint32_t shift = plan_.partition_bits;
-  const uint32_t dist = opts_.prefetch_dist;
-  const bool avx2 = use_avx2_;
-  std::vector<StepDef> steps;
-
-  KeyView sk;
-  sk.schema = sp.key_schema;
-  sk.lo = sp.keys.data();
-  sk.hi = sp.key_hi.data();
-  uint32_t* s_hash = s_hash_.data();
-  uint32_t* s_bucket = s_bucket_.data();
-  int32_t* s_keynode = s_keynode_.data();
-  int32_t* s_count = s_count_.data();
-  const uint32_t* part_of_s = part_of_s_.data();
-
-  StepDef p1;
-  p1.name = "p1";
-  p1.profile = HashStepProfile(data::KeyBytes(sk.schema));
-  p1.items = n;
-  p1.run = [sk, s_hash](const Morsel& m, DeviceId,
-                        uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if constexpr (kWide) {
-        s_hash[i] = MurmurHash2x8(data::PackKeyPair(sk.lo[i], sk.hi[i]));
-      } else {
-        s_hash[i] = MurmurHash2x4(static_cast<uint32_t>(sk.lo[i]));
-      }
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(p1));
-
-  StepDef p2;
-  p2.name = "p2";
-  p2.profile = HeaderVisitProfile(ws);
-  p2.items = n;
-  p2.run = [this, shift, s_hash, s_bucket, s_count,
-            part_of_s](const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      OpenHashTable* t = open_tables_[part_of_s[i]].get();
-      s_bucket[i] = t->BucketOf(s_hash[i] >> shift);
-      int32_t count = 0;
-      t->VisitHeader(s_bucket[i], &count);
-      s_count[i] = count;
-    }
-    return ConstantWork(lw, m);
-  };
-  p2.after = [this](uint64_t begin, uint64_t end) {
-    if (opts_.grouping) BuildProbePermutation(begin, end);
-  };
-  steps.push_back(std::move(p2));
-
-  StepDef p3;
-  p3.name = "p3";
-  p3.profile = OpenKeySearchProfile(ws, opts_.locality_boost);
-  p3.items = n;
-  p3.run = [this, dist, avx2, sk, s_bucket, s_keynode,
-            part_of_s](const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      if (dist != 0 && i + dist < m.end) {
-        const uint64_t jn = perm != nullptr ? perm[i + dist] : i + dist;
-        open_tables_[part_of_s[jn]]->PrefetchBucket(s_bucket[jn]);
-      }
-      uint32_t work = 0;
-      if constexpr (kWide) {
-        // The AVX2 bucket compare is a one-word match; wide keys take the
-        // scalar two-word path (avx2 is resolved false for wide schemas).
-        static_cast<void>(avx2);
-        s_keynode[j] = open_tables_[part_of_s[j]]->FindKeyWide(
-            s_bucket[j], sk.lo[j], sk.hi[j], &work);
-      } else {
-        s_keynode[j] = open_tables_[part_of_s[j]]->FindKey(s_bucket[j],
-                                                           sk.lo[j], &work,
-                                                           avx2);
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  steps.push_back(std::move(p3));
-  return steps;
-}
-
-StepDef PhjEngine::MakeEmitStepOpen(ResultWriter* out) {
-  const uint64_t n = part_s_->offsets().back();
-  const double ws = PartitionWorkingSetBytes();
-  const data::Relation& sp = part_s_->output();
-  const int32_t* s_keys = sp.keys.data();
-  const int32_t* s_rids = sp.rids.data();
-  const int32_t* s_keynode = s_keynode_.data();
-  const uint32_t* part_of_s = part_of_s_.data();
-
-  StepDef p4;
-  p4.name = "p4";
-  p4.profile = EmitProfile(ws, opts_.locality_boost);
-  p4.items = n;
-  p4.run = [this, out, s_rids, s_keys, s_keynode,
-            part_of_s](const Morsel& m, DeviceId dev,
-                       uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    const bool keyed = out->captures_keys();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 1;
-      if (s_keynode[j] != kNil) {
-        const int32_t srid = s_rids[j];
-        const uint32_t wg = WorkgroupOf(i);
-        const int32_t skey = s_keys[j];
-        work += open_tables_[part_of_s[j]]->ForEachRid(
-            s_keynode[j],
-            [this, out, keyed, skey, srid, dev, wg](int32_t brid) {
-              const bool ok = keyed ? out->Emit(skey, brid, srid, dev, wg)
-                                    : out->Emit(brid, srid, dev, wg);
-              if (!ok) overflowed_ = true;
-            });
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  return p4;
-}
-
-StepDef PhjEngine::MakeFusedAggStepOpen(GroupByEngine* agg) {
-  const uint64_t n = part_s_->offsets().back();
-  const double ws = PartitionWorkingSetBytes();
-  const data::Relation& sp = part_s_->output();
-  const int32_t* s_keys = sp.keys.data();
-  const int32_t* s_rids = sp.rids.data();
-  const int32_t* s_keynode = s_keynode_.data();
-  const uint32_t* part_of_s = part_of_s_.data();
-
-  StepDef p4g;
-  p4g.name = "p4g";
-  p4g.profile = FusedEmitAggProfile(ws, agg->TableWorkingSetBytes(),
-                                    opts_.locality_boost);
-  p4g.items = n;
-  p4g.run = [this, agg, s_rids, s_keys, s_keynode,
-             part_of_s](const Morsel& m, DeviceId,
-                        uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 1;
-      if (s_keynode[j] != kNil) {
-        const int32_t srid = s_rids[j];
-        const int32_t skey = s_keys[j];
-        work += open_tables_[part_of_s[j]]->ForEachRid(
-            s_keynode[j], [agg, skey, srid](int32_t) {
-              // The match streams into the aggregate table; the <build rid,
-              // probe rid> pair is never materialized.
-              agg->Accumulate(skey, static_cast<int64_t>(srid));
-            });
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  return p4g;
-}
-
-std::pair<uint64_t, uint64_t> PhjEngine::MergeSeparateTables() {
-  if (opts_.shared_table) return {0, 0};
-  uint64_t keys = 0;
-  uint64_t rids = 0;
-  if (opts_.layout == exec::HashLayout::kOpenAddressing) {
-    // Partition buckets are addressed by the hash shifted past the radix
-    // bits, so the merge must recompute homes with the same shift.
-    for (uint32_t p = 0; p < plan_.total_partitions; ++p) {
-      const auto [k, r] = open_tables_[p]->MergeFrom(
-          *open_tables_gpu_[p], plan_.partition_bits, DeviceId::kCpu);
-      keys += k;
-      rids += r;
-    }
-    return {keys, rids};
-  }
-  for (uint32_t p = 0; p < plan_.total_partitions; ++p) {
-    const auto [k, r] = tables_[p]->MergeFrom(*tables_gpu_[p], DeviceId::kCpu);
-    keys += k;
-    rids += r;
-  }
-  return {keys, rids};
+  return JoinCosts{ws, ws};
 }
 
 }  // namespace apujoin::join

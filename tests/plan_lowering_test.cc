@@ -1,6 +1,5 @@
-// Plan lowering: (1) the legacy single-join entry points are now thin shims
-// over the plan pipeline, and a hand-built one-HashJoin PlanSpec must
-// reproduce their reports bit-identically — same matches, same virtual
+// Plan lowering: (1) MakeSingleJoinPlan and a hand-built one-HashJoin
+// PlanSpec must produce bit-identical reports — same matches, same virtual
 // elapsed time, same per-phase breakdown, same step series (names, ratios,
 // item splits) — across algorithms, schemes, layouts and table modes; and
 // (2) plan validation rejects every malformed tree with a real
@@ -18,10 +17,6 @@
 #include "exec/backend_kind.h"
 #include "plan/plan.h"
 #include "util/status.h"
-
-// The shims under test are deprecated on purpose; this file is their
-// remaining legitimate caller.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace apujoin::coproc {
 namespace {
@@ -70,6 +65,19 @@ void ExpectReportsIdentical(const JoinReport& a, const JoinReport& b) {
   }
 }
 
+// The one-HashJoin plan MakeSingleJoinPlan is expected to build, spelled
+// out node by node.
+PlanSpec HandBuiltPlan(const data::Workload& w, const JoinSpec& spec) {
+  PlanSpec plan;
+  const int b = plan.graph.AddScan(&w.build);
+  const int s = plan.graph.AddScan(&w.probe);
+  plan.graph.AddHashJoin(b, s);
+  plan.exec = spec;
+  plan.expected_matches = w.expected_matches;
+  plan.skew_fraction = data::SkewFraction(w.spec.distribution);
+  return plan;
+}
+
 struct ParityCase {
   const char* name;
   Algorithm algorithm;
@@ -99,9 +107,9 @@ const ParityCase kParityCases[] = {
      true},
 };
 
-// Every legacy fig-path shape must lower to the identical step series and
-// report through a hand-built one-HashJoin PlanSpec.
-TEST(PlanLoweringParity, ShimMatchesHandBuiltPlan) {
+// Every fig-path shape must lower to the identical step series and report
+// through MakeSingleJoinPlan and a hand-built one-HashJoin PlanSpec.
+TEST(PlanLoweringParity, SingleJoinPlanMatchesHandBuiltPlan) {
   for (const ParityCase& c : kParityCases) {
     SCOPED_TRACE(c.name);
     const data::Workload w = MakeWorkload();
@@ -113,24 +121,16 @@ TEST(PlanLoweringParity, ShimMatchesHandBuiltPlan) {
     spec.engine.shared_table = c.shared_table;
 
     simcl::SimContext ctx_a;
-    auto legacy = ExecuteJoin(&ctx_a, w, spec);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-
-    PlanSpec plan;
-    const int b = plan.graph.AddScan(&w.build);
-    const int s = plan.graph.AddScan(&w.probe);
-    plan.graph.AddHashJoin(b, s);
-    plan.exec = spec;
-    plan.expected_matches = w.expected_matches;
-    plan.skew_fraction = data::SkewFraction(w.spec.distribution);
+    auto lowered = ExecutePlan(&ctx_a, MakeSingleJoinPlan(w, spec));
+    ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
 
     simcl::SimContext ctx_b;
-    auto planned = ExecutePlan(&ctx_b, plan);
+    auto planned = ExecutePlan(&ctx_b, HandBuiltPlan(w, spec));
     ASSERT_TRUE(planned.ok()) << planned.status().ToString();
 
-    ExpectReportsIdentical(*legacy, *planned);
-    EXPECT_EQ(legacy->matches, w.expected_matches);
-    // The plan path additionally reports the one lowered operator.
+    ExpectReportsIdentical(*lowered, *planned);
+    EXPECT_EQ(lowered->matches, w.expected_matches);
+    // Both report the one lowered operator.
     ASSERT_EQ(planned->operators.size(), 1u);
     EXPECT_EQ(planned->operators[0].kind, "join");
     EXPECT_EQ(planned->operators[0].output_rows, planned->matches);
@@ -145,17 +145,17 @@ TEST(PlanLoweringParity, SkewedWorkloadMatches) {
   spec.algorithm = Algorithm::kSHJ;
   spec.scheme = Scheme::kPipelined;
 
-  simcl::SimContext ctx_a;
-  auto legacy = ExecuteJoin(&ctx_a, w, spec);
-  ASSERT_TRUE(legacy.ok());
-
   const PlanSpec plan = MakeSingleJoinPlan(w, spec);
   EXPECT_EQ(plan.expected_matches, w.expected_matches);
   EXPECT_EQ(plan.skew_fraction, data::SkewFraction(w.spec.distribution));
+  simcl::SimContext ctx_a;
+  auto lowered = ExecutePlan(&ctx_a, plan);
+  ASSERT_TRUE(lowered.ok());
+
   simcl::SimContext ctx_b;
-  auto planned = ExecutePlan(&ctx_b, plan);
+  auto planned = ExecutePlan(&ctx_b, HandBuiltPlan(w, spec));
   ASSERT_TRUE(planned.ok());
-  ExpectReportsIdentical(*legacy, *planned);
+  ExpectReportsIdentical(*lowered, *planned);
 }
 
 // The emulated-discrete restrictions must carry over to the plan path.
@@ -169,18 +169,22 @@ TEST(PlanLoweringParity, DiscreteModeMatchesAndKeepsRestrictions) {
   spec.scheme = Scheme::kDataDivide;
 
   simcl::SimContext ctx_a(copts);
-  auto legacy = ExecuteJoin(&ctx_a, w, spec);
-  ASSERT_TRUE(legacy.ok());
+  auto lowered = ExecutePlan(&ctx_a, MakeSingleJoinPlan(w, spec));
+  ASSERT_TRUE(lowered.ok());
   simcl::SimContext ctx_b(copts);
-  auto planned = ExecutePlan(&ctx_b, MakeSingleJoinPlan(w, spec));
+  auto planned = ExecutePlan(&ctx_b, HandBuiltPlan(w, spec));
   ASSERT_TRUE(planned.ok());
-  ExpectReportsIdentical(*legacy, *planned);
+  ExpectReportsIdentical(*lowered, *planned);
 
   spec.scheme = Scheme::kPipelined;
   simcl::SimContext ctx_c(copts);
   auto rejected = ExecutePlan(&ctx_c, MakeSingleJoinPlan(w, spec));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  simcl::SimContext ctx_d(copts);
+  auto rejected_hand = ExecutePlan(&ctx_d, HandBuiltPlan(w, spec));
+  ASSERT_FALSE(rejected_hand.ok());
+  EXPECT_EQ(rejected_hand.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

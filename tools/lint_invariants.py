@@ -55,6 +55,15 @@ Rules (over src/ unless stated otherwise):
                   dispatch the typed-key refactor removed. Compile-time
                   `if constexpr` (e.g. on a kWide template parameter) is
                   allowed — it leaves no branch in the instantiation.
+  kernel-no-layout-branch
+                  MorselKernel bodies must not branch on the hash-table
+                  layout at runtime: no `if`/`switch` whose condition
+                  names HashLayout / layout / kChained / kOpenAddressing.
+                  SHJ and PHJ share one build/probe kernel family whose
+                  table layout is a template parameter resolved at StepDef
+                  construction; a per-item layout branch would fork the
+                  family again inside the hot loop. `if constexpr` (e.g.
+                  on the table type) is allowed.
 
 The linter is line-oriented and deliberately heuristic — it joins
 continuation lines to find the argument list of a call that spills over,
@@ -214,7 +223,14 @@ BRANCH_RE = re.compile(r"\b(if|switch)\s*\(")
 IF_CONSTEXPR_RE = re.compile(r"\bif\s+constexpr\b")
 
 
-def check_kernel_no_schema_branch(path, lines, errors):
+# Tokens that identify a hash-table layout condition.
+LAYOUT_TOKENS = re.compile(
+    r"\bHashLayout\b|\blayout\b|\bkChained\b|\bkOpenAddressing\b")
+
+
+def kernel_runtime_branches(lines, tokens):
+    """Yields (kernel line, branch line) for every runtime `if`/`switch`
+    inside a `.run = [...]` body whose condition matches `tokens`."""
     for i, raw in enumerate(lines):
         if not KERNEL_LAMBDA_RE.search(strip_strings(raw)):
             continue
@@ -228,18 +244,34 @@ def check_kernel_no_schema_branch(path, lines, errors):
             if not BRANCH_RE.search(code):
                 continue
             # Join the condition across continuation lines before testing
-            # for schema tokens (conditions that spill over).
+            # for the tokens (conditions that spill over).
             cond = strip_strings(join_call(lines, j)).partition("//")[0]
             if IF_CONSTEXPR_RE.search(cond):
                 continue
-            if SCHEMA_TOKENS.search(cond):
-                errors.append(
-                    f"{rel(path)}:{j + 1}: runtime branch on the key schema "
-                    f"inside a MorselKernel body (`.run = [...]` lambda "
-                    f"opened at line {i + 1}) — dispatch on KeySchema at "
-                    f"StepDef construction scope (one instantiation per "
-                    f"schema, `if constexpr` on a template flag), never "
-                    f"per item: {lines[j].strip()}")
+            if tokens.search(cond):
+                yield i, j
+
+
+def check_kernel_no_schema_branch(path, lines, errors):
+    for i, j in kernel_runtime_branches(lines, SCHEMA_TOKENS):
+        errors.append(
+            f"{rel(path)}:{j + 1}: runtime branch on the key schema "
+            f"inside a MorselKernel body (`.run = [...]` lambda "
+            f"opened at line {i + 1}) — dispatch on KeySchema at "
+            f"StepDef construction scope (one instantiation per "
+            f"schema, `if constexpr` on a template flag), never "
+            f"per item: {lines[j].strip()}")
+
+
+def check_kernel_no_layout_branch(path, lines, errors):
+    for i, j in kernel_runtime_branches(lines, LAYOUT_TOKENS):
+        errors.append(
+            f"{rel(path)}:{j + 1}: runtime branch on the hash-table layout "
+            f"inside a MorselKernel body (`.run = [...]` lambda opened at "
+            f"line {i + 1}) — resolve the layout at StepDef construction "
+            f"scope (the table type is a template parameter of the kernel "
+            f"family; use `if constexpr`), never per item: "
+            f"{lines[j].strip()}")
 
 
 def check_kernel_no_alloc(path, lines, errors):
@@ -345,6 +377,7 @@ def main():
         check_no_assert(path, lines, errors)
         check_kernel_no_alloc(path, lines, errors)
         check_kernel_no_schema_branch(path, lines, errors)
+        check_kernel_no_layout_branch(path, lines, errors)
         check_stepdef_outside_lowering(path, lines, errors)
         check_avx2_target(path, lines, errors)
     check_march_native(errors)
