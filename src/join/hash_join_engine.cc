@@ -16,87 +16,6 @@ using simcl::Phase;
 
 namespace {
 
-/// See HashJoinEngine::PrepareKeys().
-apujoin::Status CanonicalizeJoinKeys(const data::Relation& build,
-                                     const data::Relation& probe,
-                                     bool shared_table,
-                                     data::Relation* build_canon,
-                                     data::Relation* probe_canon) {
-  const data::KeySchema schema = build.key_schema;
-  if (probe.key_schema != schema) {
-    return apujoin::Status::InvalidArgument(
-        "build and probe key schemas differ");
-  }
-  if (!data::KeyIsWide(schema)) return apujoin::Status::OK();
-  if (!shared_table) {
-    return apujoin::Status::InvalidArgument(
-        "wide key schemas require shared_table (the separate-table merge "
-        "path is U32-only)");
-  }
-  if (schema == data::KeySchema::kU64 ||
-      schema == data::KeySchema::kComposite) {
-    if (build.key_hi.size() != build.size() ||
-        probe.key_hi.size() != probe.size()) {
-      return apujoin::Status::InvalidArgument(
-          "wide key schema requires a key_hi column of matching length");
-    }
-    return apujoin::Status::OK();
-  }
-
-  const data::StringDict& bd = build.dict;
-  const data::StringDict& pd = probe.dict;
-  if (bd.strings.size() != bd.hashes.size() ||
-      pd.strings.size() != pd.hashes.size()) {
-    return apujoin::Status::InvalidArgument(
-        "dict-string relation with out-of-sync dictionary hashes");
-  }
-  std::unordered_multimap<uint64_t, int32_t> by_hash;
-  by_hash.reserve(bd.strings.size());
-  for (size_t c = 0; c < bd.strings.size(); ++c) {
-    by_hash.emplace(bd.hashes[c], static_cast<int32_t>(c));
-  }
-  std::vector<int32_t> xlat(pd.strings.size(), kNil);
-  for (size_t c = 0; c < pd.strings.size(); ++c) {
-    const auto range = by_hash.equal_range(pd.hashes[c]);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (bd.strings[static_cast<size_t>(it->second)] == pd.strings[c]) {
-        xlat[c] = it->second;
-        break;
-      }
-    }
-  }
-  // One side: lo = low32 of the code's cached string hash, hi = the code
-  // itself (build side) or its translation into build codes (probe side).
-  const auto canonicalize = [schema](const data::Relation& in,
-                                     const data::StringDict& dict,
-                                     const int32_t* xlat_or_null,
-                                     const char* side_error,
-                                     data::Relation* out) {
-    const uint64_t n = in.size();
-    out->key_schema = schema;
-    out->keys.resize(n);
-    out->key_hi.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      const int32_t code = in.keys[i];
-      if (code < 0 || static_cast<size_t>(code) >= dict.strings.size()) {
-        return apujoin::Status::InvalidArgument(side_error);
-      }
-      out->keys[i] = static_cast<int32_t>(
-          static_cast<uint32_t>(dict.hashes[static_cast<size_t>(code)]));
-      out->key_hi[i] = xlat_or_null != nullptr
-                           ? xlat_or_null[static_cast<size_t>(code)]
-                           : code;
-    }
-    return apujoin::Status::OK();
-  };
-  APU_RETURN_IF_ERROR(canonicalize(
-      build, bd, nullptr, "dict-string build code out of dictionary range",
-      build_canon));
-  return canonicalize(probe, pd, xlat.data(),
-                      "dict-string probe code out of dictionary range",
-                      probe_canon);
-}
-
 // ---------------------------------------------------------------------------
 // Layout adapter: the two table layouts behind one call shape.
 // ---------------------------------------------------------------------------
@@ -127,7 +46,7 @@ int32_t FindKey(const T* t, uint32_t bucket, const KeyView& k, uint64_t j,
                 [[maybe_unused]] bool avx2, uint32_t* work) {
   if constexpr (kWide) {
     // Wide keys take the scalar two-word probe on both layouts; the AVX2
-    // one-word bucket compare is ruled out per schema in PrepareState().
+    // one-word bucket compare is ruled out per schema in PreparePools().
     return t->FindKeyWide(bucket, k.lo[j], k.hi[j], work);
   } else if constexpr (kOpen<T>) {
     return t->FindKey(bucket, k.lo[j], work, avx2);
@@ -212,12 +131,85 @@ StepDef HashStep(const char* name, const JoinSide& in, uint32_t* hash) {
 // ---------------------------------------------------------------------------
 
 apujoin::Status HashJoinEngine::PrepareKeys() {
-  if (build_->empty() || probe_->empty()) {
+  const data::Relation& build = *build_;
+  const data::Relation& probe = *probe_;
+  if (build.empty() || probe.empty()) {
     return apujoin::Status::InvalidArgument("empty relation");
   }
-  wide_ = data::KeyIsWide(build_->key_schema);
-  return CanonicalizeJoinKeys(*build_, *probe_, opts_.shared_table,
-                              &r_canon_, &s_canon_);
+  const data::KeySchema schema = build.key_schema;
+  wide_ = data::KeyIsWide(schema);
+  if (probe.key_schema != schema) {
+    return apujoin::Status::InvalidArgument(
+        "build and probe key schemas differ");
+  }
+  if (!wide_) return apujoin::Status::OK();
+  if (!opts_.shared_table) {
+    return apujoin::Status::InvalidArgument(
+        "wide key schemas require shared_table (the separate-table merge "
+        "path is U32-only)");
+  }
+  if (schema == data::KeySchema::kU64 ||
+      schema == data::KeySchema::kComposite) {
+    if (build.key_hi.size() != build.size() ||
+        probe.key_hi.size() != probe.size()) {
+      return apujoin::Status::InvalidArgument(
+          "wide key schema requires a key_hi column of matching length");
+    }
+    return apujoin::Status::OK();
+  }
+
+  const data::StringDict& bd = build.dict;
+  const data::StringDict& pd = probe.dict;
+  if (bd.strings.size() != bd.hashes.size() ||
+      pd.strings.size() != pd.hashes.size()) {
+    return apujoin::Status::InvalidArgument(
+        "dict-string relation with out-of-sync dictionary hashes");
+  }
+  std::unordered_multimap<uint64_t, int32_t> by_hash;
+  by_hash.reserve(bd.strings.size());
+  for (size_t c = 0; c < bd.strings.size(); ++c) {
+    by_hash.emplace(bd.hashes[c], static_cast<int32_t>(c));
+  }
+  std::vector<int32_t> xlat(pd.strings.size(), kNil);
+  for (size_t c = 0; c < pd.strings.size(); ++c) {
+    const auto range = by_hash.equal_range(pd.hashes[c]);
+    for (auto it = range.first; it != range.second; ++it) {
+      if (bd.strings[static_cast<size_t>(it->second)] == pd.strings[c]) {
+        xlat[c] = it->second;
+        break;
+      }
+    }
+  }
+  // One side: lo = low32 of the code's cached string hash, hi = the code
+  // itself (build side) or its translation into build codes (probe side).
+  const auto canonicalize = [schema](const data::Relation& in,
+                                     const data::StringDict& dict,
+                                     const int32_t* xlat_or_null,
+                                     const char* side_error,
+                                     data::Relation* out) {
+    const uint64_t n = in.size();
+    out->key_schema = schema;
+    out->keys.resize(n);
+    out->key_hi.resize(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      const int32_t code = in.keys[i];
+      if (code < 0 || static_cast<size_t>(code) >= dict.strings.size()) {
+        return apujoin::Status::InvalidArgument(side_error);
+      }
+      out->keys[i] = static_cast<int32_t>(
+          static_cast<uint32_t>(dict.hashes[static_cast<size_t>(code)]));
+      out->key_hi[i] = xlat_or_null != nullptr
+                           ? xlat_or_null[static_cast<size_t>(code)]
+                           : code;
+    }
+    return apujoin::Status::OK();
+  };
+  APU_RETURN_IF_ERROR(canonicalize(
+      build, bd, nullptr, "dict-string build code out of dictionary range",
+      &r_canon_));
+  return canonicalize(probe, pd, xlat.data(),
+                      "dict-string probe code out of dictionary range",
+                      &s_canon_);
 }
 
 const data::Relation& HashJoinEngine::canonical_build() const {
@@ -235,7 +227,7 @@ uint64_t HashJoinEngine::live_build_rows() const {
                           : build_->size();
 }
 
-void HashJoinEngine::PrepareState() {
+void HashJoinEngine::PreparePools() {
   // The AVX2 bucket compare covers one 32-bit word per slot, so wide
   // schemas fall back to the scalar two-word probe (per schema, decided
   // here — never per item inside a kernel).
@@ -260,7 +252,9 @@ void HashJoinEngine::PrepareState() {
       nb_live + merge_headroom + PoolSlack(nb_live, opts_.block_bytes, 8);
   pools_ = std::make_unique<NodePools>(key_cap, rid_cap, opts_.allocator,
                                        opts_.block_bytes, wide_);
+}
 
+void HashJoinEngine::PrepareArrays() {
   const uint64_t nb = build_->size();
   const uint64_t np = probe_->size();
   r_hash_.resize(nb);

@@ -73,8 +73,10 @@ class HashJoinEngine {
   /// select's survivor count). Prepare() sizes the node pools — and the
   /// SHJ table or the PHJ radix plan — from it, so a fused plan gets the
   /// data structures an unfused plan would build from the materialized
-  /// filtered relation. 0 (the default) means unfiltered; set before
-  /// Prepare().
+  /// filtered relation — without the hint SHJ's table is sized for the
+  /// full relation and a selective filter leaves the probe walking a
+  /// sparse, cache-hostile bucket array. 0 (the default) means
+  /// unfiltered; set before Prepare().
   void set_build_cardinality(uint64_t n) { build_card_ = n; }
 
   /// The build step series b1..b4.
@@ -152,10 +154,11 @@ class HashJoinEngine {
   /// Build rows that survive the fused-select filter (all without one).
   uint64_t live_build_rows() const;
 
-  /// Sizes the node pools for live_build_rows(), allocates the per-tuple
-  /// arrays for every build and probe tuple and resolves the probe SIMD
-  /// path. Call after PrepareKeys().
-  void PrepareState();
+  /// Sizes the node pools for live_build_rows() and resolves the probe
+  /// SIMD path. Call after PrepareKeys().
+  void PreparePools();
+  /// Allocates the per-tuple arrays for every build and probe tuple.
+  void PrepareArrays();
 
   /// Creates one table per entry of `buckets` (each followed by its
   /// GPU-private twin in separate-table mode). `shift` is the hash
@@ -221,7 +224,7 @@ class HashJoinEngine {
   TableSet<OpenHashTable> open_;
   uint32_t shift_ = 0;       // hash pre-shift of bucket indices
   bool partitioned_ = false;  // per-partition table selector (PHJ)
-  bool use_avx2_ = false;   // resolved from opts_.simd in PrepareState()
+  bool use_avx2_ = false;   // resolved from opts_.simd in PreparePools()
   std::atomic<bool> overflowed_{false};  // kernels may set it concurrently
 
   std::vector<uint32_t> part_of_r_, part_of_s_;  // PHJ: tuple -> partition

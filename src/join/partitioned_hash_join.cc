@@ -23,7 +23,8 @@ apujoin::Status PhjEngine::Prepare() {
                                                plan_, opts_);
   APU_RETURN_IF_ERROR(part_r_->Prepare());
   APU_RETURN_IF_ERROR(part_s_->Prepare());
-  PrepareState();
+  PreparePools();
+  PrepareArrays();
   return apujoin::Status::OK();
 }
 

@@ -12,9 +12,10 @@ apujoin::Status ShjEngine::Prepare() {
                             ? OpenBucketsFor(live_build_rows())
                             : NextPow2(live_build_rows());
   }
-  PrepareState();
+  PreparePools();
   // SHJ buckets are addressed by the unshifted hash.
   CreateTables({opts_.num_buckets}, /*shift=*/0);
+  PrepareArrays();
   return apujoin::Status::OK();
 }
 

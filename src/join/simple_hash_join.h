@@ -3,9 +3,9 @@
 //
 // The kernels and all per-tuple intermediate state (hash values, bucket
 // ids, key-node ids) live in the build/probe family shared with PHJ
-// (join/hash_join_engine.h), so each fine-grained step is a pure data-parallel
-// kernel over tuple indices — exactly the shape the co-processing schemes
-// (OL/DD/PL) schedule across the CPU and the GPU.
+// (join/hash_join_engine.h), so each fine-grained step is a pure
+// data-parallel kernel over tuple indices — exactly the shape the
+// co-processing schemes (OL/DD/PL) schedule across the CPU and the GPU.
 
 #ifndef APUJOIN_JOIN_SIMPLE_HASH_JOIN_H_
 #define APUJOIN_JOIN_SIMPLE_HASH_JOIN_H_

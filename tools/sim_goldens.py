@@ -10,7 +10,6 @@ a kernel reports or the order of its hash-table calls.
 Usage:
   tools/sim_goldens.py --bin-dir build            # check (the CTest)
   tools/sim_goldens.py --bin-dir build --update   # regenerate the goldens
-  tools/sim_goldens.py --bin-dir build --only fig03_time_breakdown
 
 Regenerate only through --update, and only for a change that is meant to
 move the figures; say which goldens moved and why in CHANGES.md.
@@ -49,7 +48,8 @@ CASES = [
     ("fig20_latch_micro", "fig20_latch_micro", []),
     ("tab03_step_granularity", "tab03_step_granularity", []),
     ("grouping_divergence", "grouping_divergence", []),
-    ("fig23_groupby_fused", "fig23_pipeline", ["--plan=groupby", "--fuse=auto"]),
+    ("fig23_groupby_fused", "fig23_pipeline",
+     ["--plan=groupby", "--fuse=auto"]),
     ("fig23_filter_fused", "fig23_pipeline", ["--plan=filter", "--fuse=auto"]),
     ("fig24_scenarios", "fig24_scenarios", []),
 ]
@@ -89,19 +89,12 @@ def main():
                     help="build directory holding the bench binaries")
     ap.add_argument("--update", action="store_true",
                     help="rewrite tests/golden/ from this build")
-    ap.add_argument("--only", action="append", default=[],
-                    help="restrict to the named golden case (repeatable)")
     args = ap.parse_args()
 
-    cases = [c for c in CASES if not args.only or c[0] in args.only]
-    unknown = set(args.only) - {c[0] for c in CASES}
-    if unknown:
-        print("unknown case(s): %s" % ", ".join(sorted(unknown)))
-        return 2
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     failed = []
     with tempfile.TemporaryDirectory(prefix="sim_goldens_") as tmp:
-        for name, binary, flags in cases:
+        for name, binary, flags in CASES:
             out, js = run_case(args.bin_dir, binary, flags,
                                os.path.join(tmp, name + ".json"))
             status = "wrote" if args.update else "ok"
@@ -127,7 +120,7 @@ def main():
     if failed:
         print("%d golden file(s) differ: %s" % (len(failed), " ".join(failed)))
         return 1
-    print("%d case(s) %s" % (len(cases),
+    print("%d case(s) %s" % (len(CASES),
                              "regenerated" if args.update else "identical"))
     return 0
 
